@@ -54,9 +54,10 @@ class SolveStats:
         lp_solves: LP relaxations solved (nodes + dives + root).
         lp_pivots: Total simplex pivots across every LP solve.
         warm_starts: LP solves attempted from an inherited basis.
-        warm_start_hits: Warm-started solves that finished on the revised
-            path (no dense cold-start fallback needed).
-        fallbacks: LP solves that fell back to the dense tableau oracle.
+        warm_start_hits: Warm-started solves answered by their first
+            attempt (no cold recovery restart needed).
+        fallbacks: LP solves the engine answered only after its cold
+            recovery restart (a Bland restart from the logical basis).
         workers: Parallel workers used (0 for a purely serial run; merged
             records keep the maximum).
         workers_requested: Worker count the caller asked for, before the
@@ -87,13 +88,14 @@ class SolveStats:
             (dual ratio-test flips plus primal full-box steps) that
             avoided a pivot, summed over every LP solve.
         devex_resets: Devex reference-framework resets across every LP
-            solve (zero under ``pricing="dantzig"``).
+            solve.
         ftran_sparsity: Entering-column FTRAN results whose nonzero count
             stayed at or below half the basis rows — the hypersparse
             regime — summed over every LP solve.
-        refactorizations: Basis factorizations rebuilt from scratch
-            across every LP solve (cold starts, cadence/fill policy, and
-            drift recoveries).
+        refactorizations: Every basis factorization made: engine rebuilds
+            across every LP solve (starts, cadence/fill policy, drift
+            recoveries), micro-kernel inverses, and the one tableau
+            factorization per root cut round.
         root_gap_closed: Relative root-bound improvement from the cut
             loop, ``(bound_after - bound_before) / max(1, |bound_before|)``
             over the first and last separation round (see

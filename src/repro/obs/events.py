@@ -5,7 +5,7 @@ Every event carries three envelope fields — ``type``, ``t`` (a
 process, ``1..K`` for parallel subtree workers) — plus a per-type payload.
 :data:`EVENT_SCHEMA` names the payload keys every event of a type must
 carry; emitters may add extra keys (e.g. ``lp_solved`` attaches the
-revised-simplex pivot counters when the incremental path answered).
+revised-simplex pivot counters, ``cut_round`` its tableau factorization).
 
 The JSONL wire format flattens the envelope and the payload into one
 object per line::

@@ -86,8 +86,8 @@ def _counters_for_worker(events: List[TraceEvent]) -> SolveStats:
                     stats.warm_start_hits += 1
             if event.data["fallback"]:
                 stats.fallbacks += 1
-            # Kernel counters ride as optional extras (absent when the
-            # dense oracle answered, exactly as the solver absorbs them).
+            # Kernel counters ride as optional extras (absent only when
+            # crossed bounds were rejected before any work).
             stats.bound_flips += int(event.data.get("bound_flips", 0))
             stats.devex_resets += int(event.data.get("devex_resets", 0))
             stats.ftran_sparsity += int(event.data.get("ftran_sparsity", 0))
@@ -109,6 +109,7 @@ def _counters_for_worker(events: List[TraceEvent]) -> SolveStats:
         elif event.type == "cut_round":
             stats.cut_rounds += 1
             stats.cuts_added += int(event.data["added"])
+            stats.refactorizations += int(event.data.get("refactorizations", 0))
             if first_cut_bound is None:
                 first_cut_bound = float(event.data["bound_before"])
             last_cut_bound = float(event.data["bound_after"])

@@ -1,10 +1,10 @@
 """Solver backends: a from-scratch simplex + branch-and-bound ("Bozo") and
 an independent HiGHS (scipy) cross-check, behind one interface.
 
-The LP pipeline is layered: :class:`StandardFormLP` is built once per MILP
-and mutated in place, :func:`solve_revised` warm-starts from a previous
-basis, and the dense tableau :func:`solve_lp` remains the cold-start
-fallback and correctness oracle."""
+There is one LP engine: :class:`StandardFormLP` is built once per MILP and
+mutated in place, :func:`solve_revised` warm-starts from a previous basis,
+and :func:`solve_with_fallback` recovers from numerical trouble with a cold
+Bland restart of the same engine."""
 
 from repro.milp.solution import SolveStats
 from repro.solvers.base import Solver, SolverOptions
@@ -13,13 +13,14 @@ from repro.solvers.presolve import PresolveResult, presolve
 from repro.solvers.registry import available_solvers, get_solver, register_solver
 from repro.solvers.revised import (
     Basis,
+    LPResult,
+    LPStatus,
     RevisedResult,
     RevisedStatus,
     StandardFormLP,
     solve_revised,
     solve_with_fallback,
 )
-from repro.solvers.simplex import LPResult, LPStatus, solve_lp
 
 __all__ = [
     "Solver",
@@ -39,5 +40,4 @@ __all__ = [
     "solve_with_fallback",
     "LPResult",
     "LPStatus",
-    "solve_lp",
 ]

@@ -2,21 +2,20 @@
 
 The paper solved its MILP models with Bozo, L. J. Hafer's branch-and-bound
 code layered on the commercial XLP simplex.  This module is the
-reproduction's equivalent: LP-relaxation branch and bound layered on an
-incremental LP pipeline.  The standard form is built **once** at the root
+reproduction's equivalent: LP-relaxation branch and bound layered on one
+incremental LP engine (:mod:`repro.solvers.revised`).  The standard form
+is built **once** at the root
 (:class:`~repro.solvers.revised.StandardFormLP`); each node mutates only
 the branched variable bound in place and warm-starts the revised simplex
-from its parent's optimal basis, falling back to the dense two-phase
-tableau (:mod:`repro.solvers.simplex`) whenever the incremental path
-signals trouble.
+from its parent's optimal basis.  The engine recovers from numerical
+trouble by itself (a cold Bland restart); there is no second LP solver.
 
 Features (all selectable through :class:`~repro.solvers.base.SolverOptions`):
 
 * best-first (default) or depth-first node selection,
 * most-fractional or pseudocost branching (pseudocosts learn from the
   *observed* parent-to-child LP objective degradation),
-* warm-started LP relaxations (``warm_start=False`` restores the original
-  cold dense solve per node),
+* warm-started LP relaxations,
 * incumbent rounding/repair for near-integral LP solutions,
 * wall-clock and node limits with a FEASIBLE (incumbent, gap > 0) result,
 * parallel tree search (``workers=N``): a serial ramp opens a frontier of
@@ -58,17 +57,19 @@ from repro.solvers.base import Solver, SolverOptions
 from repro.solvers.cuts import CutPool, separate_cover, separate_gomory
 from repro.solvers.revised import (
     Basis,
+    LPResult,
+    LPStatus,
+    PivotCounters,
     RevisedStatus,
     StandardFormLP,
     extend_basis,
     solve_revised,
     solve_with_fallback,
 )
-from repro.solvers.simplex import LPResult, LPStatus, solve_lp
 
 #: Dual-simplex pivot budget of one strong-branching probe.  Probes that
 #: exhaust it are simply not recorded — a budgeted probe must never be
-#: allowed to trigger the expensive dense fallback.
+#: allowed to trigger the engine's cold recovery restart.
 STRONG_BRANCH_ITERATIONS = 150
 
 #: Relative root-gap closure below which a separation round counts as
@@ -153,24 +154,16 @@ class _LPBackend:
     def __init__(
         self,
         form: MatrixForm,
-        warm_start: bool,
         stats: SolveStats,
         sf: Optional[StandardFormLP] = None,
         tracer: Optional[Tracer] = None,
-        pricing_block_size: int = 0,
-        pricing: str = "devex",
     ) -> None:
         self.form = form
         self.stats = stats
         self.tracer = tracer
-        self.pricing_block_size = pricing_block_size
-        self.pricing = pricing
-        if sf is not None:
-            self.sf: Optional[StandardFormLP] = sf
-        else:
-            self.sf = StandardFormLP.from_matrix_form(form) if warm_start else None
+        self.sf = sf if sf is not None else StandardFormLP.from_matrix_form(form)
 
-    def _absorb_counters(self, counters) -> None:
+    def _absorb_counters(self, counters: Optional[PivotCounters]) -> None:
         """Fold one solve's kernel counters into the run's SolveStats."""
         if counters is None:
             return
@@ -204,41 +197,29 @@ class _LPBackend:
         basis: Optional[Basis] = None,
         want_reduced_costs: bool = False,
     ) -> Tuple[LPResult, Optional[Basis]]:
-        """Solve the relaxation under ``lb``/``ub``; returns (result, basis)."""
+        """Solve the relaxation under ``lb``/``ub``; returns (result, basis).
+
+        ``SolveStats.fallbacks`` (and the event's ``fallback`` flag) count
+        the solves the engine's cold recovery restart answered.
+        """
         start = time.monotonic()
         self.stats.lp_solves += 1
-        form = self.form
-        if self.sf is None:
-            result = solve_lp(
-                form.c, form.a_ub, form.b_ub, form.a_eq, form.b_eq,
-                lb, ub, c0=form.c0,
-            )
-            self.stats.lp_pivots += result.iterations
-            self._absorb_counters(result.counters)
-            elapsed = time.monotonic() - start
-            self.stats.add_phase("lp", elapsed)
-            self._trace_lp(result, warm=False, fallback=False, seconds=elapsed)
-            return result, None
         self.sf.set_bounds(lb, ub)
         if basis is not None:
             self.stats.warm_starts += 1
-        result, final_basis, fell_back = solve_with_fallback(
-            self.sf,
-            basis,
-            pricing_block_size=self.pricing_block_size,
-            want_reduced_costs=want_reduced_costs,
-            pricing=self.pricing,
+        result, final_basis, recovered = solve_with_fallback(
+            self.sf, basis, want_reduced_costs=want_reduced_costs,
         )
         self.stats.lp_pivots += result.iterations
         self._absorb_counters(result.counters)
-        if fell_back:
+        if recovered:
             self.stats.fallbacks += 1
         elif basis is not None:
             self.stats.warm_start_hits += 1
         elapsed = time.monotonic() - start
         self.stats.add_phase("lp", elapsed)
         self._trace_lp(
-            result, warm=basis is not None, fallback=fell_back, seconds=elapsed
+            result, warm=basis is not None, fallback=recovered, seconds=elapsed
         )
         return result, final_basis
 
@@ -249,29 +230,23 @@ class _LPBackend:
         basis: Optional[Basis],
         max_iterations: int = STRONG_BRANCH_ITERATIONS,
     ) -> Tuple[RevisedStatus, float]:
-        """Budgeted strong-branching probe on the revised path only.
+        """Budgeted strong-branching probe: one engine attempt, no recovery.
 
-        Unlike :meth:`solve`, a probe never falls back to the dense
-        oracle: blowing the pivot budget (or any numerical trouble)
-        returns ``NEEDS_FALLBACK`` and the caller simply learns nothing
-        from that direction.  Probes emit ordinary ``lp_solved`` events
-        and accumulate into the same counters, so trace replay stays
-        exact for free.
+        Unlike :meth:`solve`, a probe never restarts: blowing the pivot
+        budget (or any numerical trouble) returns ``NEEDS_FALLBACK`` and
+        the caller simply learns nothing from that direction.  Probes
+        emit ordinary ``lp_solved`` events and accumulate into the same
+        counters, so trace replay stays exact for free.
         """
         start = time.monotonic()
         self.stats.lp_solves += 1
-        assert self.sf is not None
         self.sf.set_bounds(lb, ub)
         if basis is not None:
             self.stats.warm_starts += 1
-            # A probe can't fall back, so every warm attempt is a "hit" in
+            # A probe never restarts, so every warm attempt is a "hit" in
             # the sense the replay derives from the event stream.
             self.stats.warm_start_hits += 1
-        revised = solve_revised(
-            self.sf, basis, max_iterations=max_iterations,
-            pricing_block_size=self.pricing_block_size,
-            pricing=self.pricing,
-        )
+        revised = solve_revised(self.sf, basis, max_iterations=max_iterations)
         self.stats.lp_pivots += revised.iterations
         self._absorb_counters(revised.counters)
         elapsed = time.monotonic() - start
@@ -512,9 +487,6 @@ class _TreeSearch:
                     out.root_unbounded = True
                     break
                 continue
-            if result.status is LPStatus.ITERATION_LIMIT:
-                # Treat as unexplored; keep the parent bound so the gap stays valid.
-                continue
 
             assert result.x is not None
             lp_obj = result.objective
@@ -522,7 +494,6 @@ class _TreeSearch:
                 node.tiebreak == 1
                 and self.allow_cuts
                 and options.cuts == "auto"
-                and self.lp.sf is not None
             ):
                 result, node_basis = self._root_cut_loop(
                     node, result, node_basis, want_rc
@@ -586,7 +557,6 @@ class _TreeSearch:
                 node.tiebreak == 1
                 and options.branching == "pseudocost"
                 and options.strong_branching > 0
-                and self.lp.sf is not None
                 and node_basis is not None
                 and len(fractional) > 1
             ):
@@ -765,7 +735,6 @@ class _TreeSearch:
         """
         options = self.options
         sf = self.lp.sf
-        assert sf is not None
         tol = options.integrality_tolerance
         pool = CutPool()
         first_bound = 0.0
@@ -789,11 +758,15 @@ class _TreeSearch:
             )
             if result.objective >= threshold:
                 break  # root already pruned by the incumbent: cuts are moot
+            # The tableau factorization Gomory separation makes is part of
+            # the run's refactorization count, carried on the round's event.
+            tableau_counters = PivotCounters()
             gomory = (
-                separate_gomory(sf, node_basis, x, self.integral)
+                separate_gomory(sf, node_basis, x, self.integral, tableau_counters)
                 if node_basis is not None
                 else []
             )
+            self.lp._absorb_counters(tableau_counters)
             cover = separate_cover(self.form, x)
             pool.add(gomory + cover)
             chosen = pool.select(x)
@@ -835,6 +808,7 @@ class _TreeSearch:
                     added=len(chosen),
                     bound_before=bound_before,
                     bound_after=bound_after,
+                    refactorizations=tableau_counters.refactorizations,
                     **extra,
                 )
             if tailing_off:
@@ -900,7 +874,7 @@ class _TreeSearch:
                         j, direction, infeasible_degradation, frac_dir
                     )
                 # NEEDS_FALLBACK / UNBOUNDED: budget blown or numerics —
-                # learn nothing, never escalate to the dense oracle.
+                # learn nothing, never escalate to a recovery restart.
         self.lp.stats.strong_branch_probes += probes
         return len(candidates), probes
 
@@ -1065,11 +1039,7 @@ class BozoSolver(Solver):
             _emit_solve_done(tracer, prepared)
             return prepared
         form = prepared
-        lp = _LPBackend(
-            form, self.options.warm_start, stats, tracer=tracer,
-            pricing_block_size=self.options.pricing_block_size,
-            pricing=self.options.pricing,
-        )
+        lp = _LPBackend(form, stats, tracer=tracer)
         engine = _TreeSearch(
             self.options, form, lp, start=start, tracer=tracer, reporter=reporter
         )

@@ -47,6 +47,7 @@ from repro.solvers.revised import (
     AT_UB,
     BASIC,
     Basis,
+    PivotCounters,
     StandardFormLP,
     TableauAccess,
 )
@@ -102,6 +103,7 @@ def separate_gomory(
     basis: Basis,
     x: np.ndarray,
     integral: np.ndarray,
+    counters: PivotCounters,
     max_cuts: int = 50,
 ) -> List[Cut]:
     """GMI cuts from the tableau rows of fractional basic integer variables.
@@ -111,6 +113,8 @@ def separate_gomory(
         basis: Optimal basis of the current root LP.
         x: Structural solution of that LP (length ``sf.n``).
         integral: Indices of integer-constrained structural variables.
+        counters: Receives the basis factorization the tableau reads
+            make (one, when any row is wanted).
         max_cuts: Scan stops after this many cuts were derived.
     """
     n = sf.n
@@ -125,6 +129,7 @@ def separate_gomory(
     if not rows_wanted:
         return []
     tableau = TableauAccess(sf, basis)
+    counters.refactorizations += 1
     if not tableau.ok:
         return []
     fixed = np.isfinite(sf.lo) & np.isfinite(sf.up) & (sf.up - sf.lo <= 1e-9)

@@ -1,14 +1,13 @@
 """Solver registry: look up backends by name.
 
-``"auto"`` picks HiGHS when available (it always is in this environment,
-via scipy) and falls back to the from-scratch Bozo solver otherwise, so
-the library keeps working with no scipy installed.
+``"auto"`` picks HiGHS (scipy is a hard dependency, so it is always
+registered); the from-scratch Bozo solver is chosen by name.
 """
 
 from __future__ import annotations
 
 import difflib
-from typing import Callable, Dict, Optional, Type
+from typing import Callable, Dict, Optional
 
 from repro.errors import UnknownSolverError
 from repro.solvers.base import Solver, SolverOptions
@@ -33,9 +32,7 @@ def resolve_solver_name(name: str = "auto") -> str:
     backend that would actually run, not the alias, so results computed
     under ``auto`` never collide across hosts with different backends.
     """
-    if name == "auto":
-        return "highs" if "highs" in _REGISTRY else "bozo"
-    return name
+    return "highs" if name == "auto" else name
 
 
 def get_solver(name: str = "auto", options: Optional[SolverOptions] = None) -> Solver:
@@ -75,10 +72,8 @@ def _register_builtins() -> None:
         return ParallelBozoSolver(options)
 
     register_solver("bozo-parallel", _parallel)
-    try:
-        from repro.solvers.highs import HighsSolver
-    except ImportError:  # scipy absent: from-scratch solver only
-        return
+    from repro.solvers.highs import HighsSolver
+
     register_solver("highs", lambda options: HighsSolver(options))
 
 

@@ -1,12 +1,11 @@
 """Bounded-variable revised simplex with warm starts.
 
-This is the incremental LP engine underneath :mod:`repro.solvers.bozo`.
-Branch and bound solves hundreds of LP relaxations that differ from their
-parent in exactly one variable bound, and the Pareto sweep re-solves
-near-identical LPs with only one right-hand side moving.  The dense
-two-phase tableau in :mod:`repro.solvers.simplex` rebuilds everything from
-scratch on every call; this module instead keeps one
-:class:`StandardFormLP` per MILP and re-solves after in-place mutations:
+This is the LP engine underneath :mod:`repro.solvers.bozo` — the only one
+production code calls.  Branch and bound solves hundreds of LP relaxations
+that differ from their parent in exactly one variable bound, and the
+Pareto sweep re-solves near-identical LPs with only one right-hand side
+moving, so this module keeps one :class:`StandardFormLP` per MILP and
+re-solves after in-place mutations:
 
 * **Standard form** — rows ``A x = b`` with one logical column per row
   (a slack in ``[0, inf)`` for every ``<=`` row, a fixed artificial in
@@ -21,12 +20,16 @@ scratch on every call; this module instead keeps one
   primal phase 1 (minimize total infeasibility), then phase 2.  The dual
   simplex is reserved for starts with only a few violated basics — the
   warm-start regime where it shines; deeply infeasible starts crawl under
-  dual pivoting, so they take the phase-1 route instead.
-* **Fallback** — anything numerically suspicious (singular basis, cycling,
-  residual drift, a start that is neither primal nor dual feasible)
-  returns :attr:`RevisedStatus.NEEDS_FALLBACK` so callers can re-solve with
-  the dense tableau oracle.  :func:`solve_with_fallback` packages that
-  policy; correctness never depends on the incremental path.
+  dual pivoting, so they take the phase-1 route instead.  A form with no
+  rows is solved in closed form.
+* **Self-recovery** — phase 1 reads an infeasibility verdict only from a
+  fresh factorization.  Anything else numerically suspicious (blown pivot
+  budget, singular basis, residual drift in the final check) makes one
+  attempt return :attr:`RevisedStatus.NEEDS_FALLBACK`;
+  :func:`solve_with_fallback` then restarts once from the logical basis
+  with a fresh factor and Bland's rule, and raises
+  :class:`~repro.errors.SolverError` if that fails too.  No second solver
+  stands behind the engine, and no unverified answer leaves it.
 * **Two basis kernels** — bases above :data:`DENSE_KERNEL_MAX` rows are
   factorized with ``scipy.sparse.linalg.splu`` on the CSC form of the
   constraint matrix and kept current between refactorizations by an eta
@@ -35,8 +38,9 @@ scratch on every call; this module instead keeps one
   dominate branch-and-bound node throughput — use the explicit dense
   inverse (:class:`_DenseFactor`), which both factorizes and solves
   several times faster below roughly a hundred rows and answers BTRANs of
-  unit vectors by a plain row read.  When SciPy is unavailable every size
-  runs on the dense kernel.
+  unit vectors by a plain row read.  Warm repairs of bases at or below
+  :data:`MICRO_KERNEL_MAX` rows first try a scalar micro kernel
+  (:func:`_solve_micro`) that certifies its answer or declines.
 * **Refactorization policy** — instead of a fixed pivot cadence, the
   sparse kernel refactorizes when the eta file's accumulated fill
   (:data:`ETA_FILL_FACTOR` nonzeros per row) or length
@@ -44,18 +48,17 @@ scratch on every call; this module instead keeps one
   factorization, and either kernel refactorizes immediately when the
   pivot element seen from the row (BTRAN) and column (FTRAN) sides
   drifts — a direct numerical-error signal.
-* **Pricing** — the default rule is devex reference-framework pricing
-  (``SolverOptions.pricing="devex"``): the dual loop picks the leaving
-  row by weighted violation and the primal loop maintains the full
-  reduced-cost vector incrementally, choosing the entering column by
-  ``d^2 / weight`` with deterministic (lowest-index) tie-breaks.  Weight
-  updates use only quantities the pivot already computes.  The previous
-  partial-Dantzig block pricing is retained under ``pricing="dantzig"``:
-  entering columns are priced over fixed, index-ordered column blocks
-  scanned from a rotating block pointer (models at or below
-  :data:`PRICING_SINGLE_BLOCK` columns use one block, which is exactly
-  classic full Dantzig pricing).  Both rules are deterministic, so
-  serial/parallel byte-identity holds under either.
+* **Pricing** — devex reference-framework pricing: the dual loop picks
+  the leaving row by weighted violation (on bases past the dense-kernel
+  threshold) and the primal loop maintains the full reduced-cost vector
+  incrementally, choosing the entering column by ``d^2 / weight`` with
+  deterministic (lowest-index) tie-breaks.  Weight updates use only
+  quantities the pivot already computes.  Phase 1, whose gradient
+  changes every pivot, prices partial Dantzig blocks instead: fixed,
+  index-ordered column blocks scanned from a rotating block pointer
+  (models at or below :data:`PRICING_SINGLE_BLOCK` columns use one
+  block).  Every rule is deterministic, so serial/parallel byte-identity
+  holds.
 * **Bound-flipping dual ratio test** — the dual loop walks the sorted
   ratio-test breakpoints and *flips* every boxed candidate whose flip
   keeps the dual slope positive, entering only at the blocking
@@ -69,24 +72,16 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import hashlib
 import math
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-try:  # pragma: no cover - exercised implicitly by every solve
-    from scipy.sparse import csc_matrix as _csc_matrix
-    from scipy.sparse.linalg import splu as _splu
+from scipy.sparse import csc_matrix
+from scipy.sparse.linalg import splu as _splu
 
-    HAVE_SPARSE = True
-except ImportError:  # pragma: no cover - exercised on scipy-less installs
-    _csc_matrix = None
-    _splu = None
-    HAVE_SPARSE = False
-
+from repro.errors import SolverError
 from repro.milp.model import MatrixForm
-from repro.solvers.simplex import LPResult, LPStatus, solve_lp
 
 #: Primal feasibility tolerance on variable bounds.
 FEAS_TOL = 1e-7
@@ -99,11 +94,11 @@ PIVOT_TOL = 1e-8
 REFACTOR_EVERY = 64
 #: Consecutive non-improving pivots before switching to Bland's rule.
 STALL_LIMIT = 64
-#: Column counts up to this threshold are priced as one block in dantzig
-#: mode (classic full Dantzig pricing); larger models default to blocks
-#: of :data:`PRICING_BLOCK` columns.
+#: Column counts up to this threshold are priced as one block in phase 1
+#: (classic full Dantzig pricing); larger models use blocks of
+#: :data:`PRICING_BLOCK` columns.
 PRICING_SINGLE_BLOCK = 512
-#: Default pricing block width for models above the single-block cutoff.
+#: Phase-1 pricing block width for models above the single-block cutoff.
 PRICING_BLOCK = 256
 #: Bases at or below this many rows use the explicit dense inverse; the
 #: crossover where ``splu`` beats ``np.linalg.inv`` (and LU solves beat
@@ -146,10 +141,18 @@ class RevisedStatus(enum.Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
-    #: The incremental path could not finish reliably (numerical trouble,
-    #: iteration cap, or a start that was neither primal nor dual
-    #: feasible); re-solve with the dense tableau oracle.
+    #: One attempt could not certify an answer (blown pivot budget,
+    #: singular basis, or drift in the final check);
+    #: :func:`solve_with_fallback` recovers with a cold Bland restart.
     NEEDS_FALLBACK = "needs_fallback"
+
+
+class LPStatus(enum.Enum):
+    """Outcome of a recovered LP solve (:func:`solve_with_fallback`)."""
+
+    OPTIMAL = "optimal"
+    INFEASIBLE = "infeasible"
+    UNBOUNDED = "unbounded"
 
 
 @dataclasses.dataclass
@@ -188,8 +191,7 @@ class PivotCounters:
         bound_flips: Nonbasic bound-to-bound moves (dual ratio-test flips
             plus primal/phase-1 full-box steps) that avoided a pivot.
         devex_resets: Devex reference-framework resets, counting the
-            initialization of each loop's weights (zero under dantzig
-            pricing).
+            initialization of each loop's weights.
         ftran_sparsity: Entering-column FTRAN results whose nonzero count
             stayed at or below half the row count — the hypersparse
             regime where eta updates touch only a slice of the basis.
@@ -227,8 +229,8 @@ class RevisedResult:
         iterations: Simplex pivots performed.
         basis: Final basis for warm-starting the next solve (``None``
             unless OPTIMAL).
-        counters: Per-loop pivot attribution (``None`` for results built
-            before the engine ran, e.g. trivial infeasibility).
+        counters: Per-loop pivot attribution (``None`` only for crossed
+            bounds, which are rejected before any work).
         reduced_costs: Structural-column reduced costs at the optimum,
             captured only when the solve was asked for them (branch and
             bound uses them for reduced-cost fixing); ``None`` otherwise.
@@ -239,6 +241,30 @@ class RevisedResult:
     objective: float
     iterations: int
     basis: Optional[Basis]
+    counters: Optional[PivotCounters] = None
+    reduced_costs: Optional[np.ndarray] = None
+
+
+@dataclasses.dataclass
+class LPResult:
+    """Result of :func:`solve_with_fallback`: a verified LP answer.
+
+    Attributes:
+        status: Solve outcome.
+        x: Structural-variable values (``None`` unless OPTIMAL).
+        objective: ``c @ x + c0`` at the solution (``nan`` otherwise).
+        iterations: Simplex pivots across every attempt of the solve.
+        counters: Per-loop pivot attribution summed over every attempt
+            (``None`` only for crossed bounds).
+        reduced_costs: Structural reduced costs at the optimum when the
+            solve was asked for them (branch and bound uses them for
+            reduced-cost fixing); ``None`` otherwise.
+    """
+
+    status: LPStatus
+    x: Optional[np.ndarray]
+    objective: float
+    iterations: int
     counters: Optional[PivotCounters] = None
     reduced_costs: Optional[np.ndarray] = None
 
@@ -290,7 +316,6 @@ class StandardFormLP:
         )
         self.cost = np.concatenate([c, np.zeros(m)])
         self.c0 = float(c0)
-        self._fingerprint: Optional[str] = None
         self._a_csc = None
 
     def a_csc(self):
@@ -299,29 +324,11 @@ class StandardFormLP:
         The sparse LU kernel slices basis columns out of this; everything
         row-oriented (pricing products, single-column fetches) stays on
         the dense ``a``, which profiling shows is faster at SOS model
-        sizes.  Raises ``RuntimeError`` when SciPy is unavailable —
-        callers gate on :data:`HAVE_SPARSE`.
+        sizes.
         """
-        if _csc_matrix is None:
-            raise RuntimeError("scipy is required for the sparse CSC form")
         if self._a_csc is None:
-            self._a_csc = _csc_matrix(self.a)
+            self._a_csc = csc_matrix(self.a)
         return self._a_csc
-
-    def fingerprint(self) -> str:
-        """Stable hash of the immutable part (matrix + rhs + shape).
-
-        Bounds and objective are excluded — they mutate between solves —
-        so one fingerprint identifies the form across the whole life of a
-        branch-and-bound tree.
-        """
-        if self._fingerprint is None:
-            digest = hashlib.sha1()
-            digest.update(f"{self.n}:{self.m}".encode())
-            digest.update(np.ascontiguousarray(self.a).tobytes())
-            digest.update(np.ascontiguousarray(self.b).tobytes())
-            self._fingerprint = digest.hexdigest()
-        return self._fingerprint
 
     @classmethod
     def from_matrix_form(cls, form: MatrixForm) -> "StandardFormLP":
@@ -362,7 +369,6 @@ class StandardFormLP:
         sf.up = up
         sf.cost = cost
         sf.c0 = float(c0)
-        sf._fingerprint = None
         sf._a_csc = a_csc
         return sf
 
@@ -378,8 +384,7 @@ class StandardFormLP:
         after the existing logical block, so the invariant "row ``r``'s
         logical column is ``n + r``" survives: old rows keep their old
         logical indices and new row ``m + i`` owns column ``n + m + i``.
-        The cached CSC form and fingerprint are invalidated — the matrix
-        genuinely changed.  Rows must be expressed purely in structural
+        The cached CSC form is invalidated — the matrix genuinely changed.  Rows must be expressed purely in structural
         variables (callers substitute slacks out first).
         """
         rows = np.asarray(rows, dtype=float).reshape(-1, self.n)
@@ -398,7 +403,6 @@ class StandardFormLP:
         self.m += k
         self.ncols = old_cols + k
         self._a_csc = None
-        self._fingerprint = None
 
     def set_objective(self, c: np.ndarray, c0: float = 0.0) -> None:
         """Replace the structural objective in place (logicals stay at 0)."""
@@ -455,7 +459,7 @@ def extend_basis(basis: Basis, sf: StandardFormLP, added: int) -> Basis:
 
 def _pick_factor(sf: StandardFormLP):
     """Kernel selection: dense inverse for small bases, sparse LU above."""
-    if HAVE_SPARSE and sf.m > DENSE_KERNEL_MAX:
+    if sf.m > DENSE_KERNEL_MAX:
         return _SparseLUFactor(sf)
     return _DenseFactor(sf)
 
@@ -474,7 +478,7 @@ def _row_times_matrix(y: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 class _DenseFactor:
-    """Explicit-inverse basis kernel for small bases (and SciPy-less runs).
+    """Explicit-inverse basis kernel for small bases.
 
     Keeps ``B^{-1}`` as a dense matrix and applies the classic
     product-form update after each pivot.  Below roughly a hundred rows
@@ -637,21 +641,12 @@ class TableauAccess:
 
     def __init__(self, sf: StandardFormLP, basis: Basis) -> None:
         self.sf = sf
-        self.basis = basis
         self.factor = _pick_factor(sf)
         self.ok = self.factor.refactor(basis.basic)
 
     def row(self, i: int) -> np.ndarray:
         """Tableau row ``i`` over all columns: ``(B^{-1} A)[i, :]``."""
         return _row_times_matrix(self.factor.btran_unit(i), self.sf.a)
-
-    def basic_values(self) -> np.ndarray:
-        """``x_B = B^{-1}(b - N x_N)`` under the basis's nonbasic statuses."""
-        sf = self.sf
-        x = np.where(self.basis.status == AT_UB, sf.up, sf.lo)
-        x[self.basis.status == AT_FREE] = 0.0
-        x[self.basis.status == BASIC] = 0.0
-        return self.factor.ftran(sf.b - sf.a @ x)
 
 
 def _micro_lists(sf: StandardFormLP):
@@ -672,7 +667,8 @@ def _micro_lists(sf: StandardFormLP):
 
 
 def _solve_micro(
-    sf: StandardFormLP, basis: Basis, max_iterations: int
+    sf: StandardFormLP, basis: Basis, max_iterations: int,
+    counters: PivotCounters,
 ) -> Optional[RevisedResult]:
     """Scalar warm repair for tiny bases; ``None`` means take the general path.
 
@@ -685,7 +681,9 @@ def _solve_micro(
     cannot certify (budget exhausted, tiny pivot, residual or optimality
     check failure at the end) returns ``None`` so the vector engine redoes
     the solve from the same input basis.  The input ``sf``/``basis`` are
-    never mutated.
+    never mutated.  ``counters`` receives every factorization made, so a
+    declined attempt's inverses are still counted; on success it also
+    carries the attempt's pivot attribution and rides on the result.
     """
     m, n, ncols = sf.m, sf.n, sf.ncols
     status = basis.status.tolist()
@@ -696,11 +694,11 @@ def _solve_micro(
     up = sf.up.tolist()
     cost = sf.cost.tolist()
     rows_l, cols = _micro_lists(sf)
+    counters.refactorizations += 1
     try:
         binv = np.linalg.inv(sf.a[:, basis.basic]).tolist()
     except np.linalg.LinAlgError:
         return None
-    refactors = 1
 
     # x_B = B^{-1} (b - N x_N) with every nonbasic at its status bound.
     r = sf.b.tolist()
@@ -797,10 +795,7 @@ def _solve_micro(
         if not cand:
             return RevisedResult(
                 RevisedStatus.INFEASIBLE, None, math.nan, iters, None,
-                counters=PivotCounters(
-                    dual_pivots=iters, refactorizations=refactors,
-                    bound_flips=flips_total, ftran_sparsity=ftran_sparse,
-                ),
+                counters=_micro_counters(counters, iters, flips_total, ftran_sparse),
             )
         cand.sort(key=lambda t: t[0])
 
@@ -821,10 +816,7 @@ def _solve_micro(
         if entering == -1:
             return RevisedResult(
                 RevisedStatus.INFEASIBLE, None, math.nan, iters, None,
-                counters=PivotCounters(
-                    dual_pivots=iters, refactorizations=refactors,
-                    bound_flips=flips_total, ftran_sparsity=ftran_sparse,
-                ),
+                counters=_micro_counters(counters, iters, flips_total, ftran_sparse),
             )
 
         # Entering column w = B^{-1} A_q and the pivot element.
@@ -904,11 +896,11 @@ def _solve_micro(
         if iters % REFACTOR_EVERY == 0:
             # Same safeguard cadence as the dense kernel; at this size a
             # fresh inverse costs a few microseconds.
+            counters.refactorizations += 1
             try:
                 binv = np.linalg.inv(sf.a[:, basic]).tolist()
             except np.linalg.LinAlgError:
                 return None
-            refactors += 1
 
     # Certify: recompute reduced costs from scratch and require dual
     # feasibility (any improving column means primal work remains — the
@@ -975,22 +967,27 @@ def _solve_micro(
             np.array(basic, dtype=basis.basic.dtype),
             np.array(status, dtype=basis.status.dtype),
         ),
-        counters=PivotCounters(
-            dual_pivots=iters, refactorizations=refactors,
-            bound_flips=flips_total, ftran_sparsity=ftran_sparse,
-        ),
+        counters=_micro_counters(counters, iters, flips_total, ftran_sparse),
     )
+
+
+def _micro_counters(
+    counters: PivotCounters, pivots: int, flips: int, sparse: int
+) -> PivotCounters:
+    """Record a certified micro-kernel answer's pivot attribution."""
+    counters.dual_pivots += pivots
+    counters.bound_flips += flips
+    counters.ftran_sparsity += sparse
+    return counters
 
 
 def solve_revised(
     sf: StandardFormLP,
     basis: Optional[Basis] = None,
     max_iterations: int = 20_000,
-    pricing_block_size: int = 0,
     want_reduced_costs: bool = False,
-    pricing: str = "devex",
 ) -> RevisedResult:
-    """Solve ``sf``, optionally warm-starting from a previous basis.
+    """One attempt at ``sf``, optionally warm-starting from a previous basis.
 
     Args:
         sf: The standard form (possibly mutated since the basis was made).
@@ -998,95 +995,114 @@ def solve_revised(
             input is copied, never mutated.  ``None`` means cold start
             from the all-logical basis.
         max_iterations: Pivot budget; exceeding it yields NEEDS_FALLBACK.
-        pricing_block_size: Partial-pricing block width in dantzig mode;
-            ``0`` picks automatically (single block at or below
-            :data:`PRICING_SINGLE_BLOCK` columns, :data:`PRICING_BLOCK`
-            above).
         want_reduced_costs: Capture structural reduced costs on the
             optimal result (costs one extra BTRAN + pricing product).
-        pricing: ``"devex"`` (default) for reference-framework pricing or
-            ``"dantzig"`` for the legacy partial-Dantzig blocks.
 
     Returns:
         A :class:`RevisedResult`; on OPTIMAL its ``basis`` warm-starts the
-        next solve after further mutations.
+        next solve after further mutations.  NEEDS_FALLBACK means this
+        attempt could not certify an answer — budgeted callers (strong
+        branching probes) learn nothing from it, everyone else goes
+        through :func:`solve_with_fallback`.
     """
     if np.any(sf.lo > sf.up + FEAS_TOL):
         return RevisedResult(RevisedStatus.INFEASIBLE, None, math.nan, 0, None)
     if sf.m == 0:
-        return RevisedResult(RevisedStatus.NEEDS_FALLBACK, None, math.nan, 0, None)
+        return _solve_rowless(sf, want_reduced_costs)
+    counters = PivotCounters()
     warm = basis is not None
     if warm and not want_reduced_costs and sf.m <= MICRO_KERNEL_MAX:
-        micro = _solve_micro(sf, basis, max_iterations)
+        micro = _solve_micro(sf, basis, max_iterations, counters)
         if micro is not None:
             return micro
     if basis is None:
         basis = sf.logical_basis()
     engine = _Engine(
-        sf, basis.copy(), max_iterations, warm=warm,
-        pricing_block_size=pricing_block_size,
+        sf, basis.copy(), max_iterations, counters, warm=warm,
         want_reduced_costs=want_reduced_costs,
-        pricing=pricing,
     )
     return engine.run()
+
+
+def _solve_rowless(sf: StandardFormLP, want_reduced_costs: bool) -> RevisedResult:
+    """Closed-form solve of a form with no rows (bounds already uncrossed).
+
+    Each column sits on the bound its cost prefers — exactly the parking
+    of :meth:`StandardFormLP.logical_basis` — and an infinite preferred
+    bound makes the LP unbounded.  Costs within :data:`DUAL_TOL` of zero
+    count as zero, as they do in the engine's pricing.
+    """
+    cost = sf.cost
+    if np.any((cost > DUAL_TOL) & np.isneginf(sf.lo)) or np.any(
+        (cost < -DUAL_TOL) & np.isposinf(sf.up)
+    ):
+        return RevisedResult(
+            RevisedStatus.UNBOUNDED, None, math.nan, 0, None,
+            counters=PivotCounters(),
+        )
+    basis = sf.logical_basis()
+    x = np.where(basis.status == AT_UB, sf.up, sf.lo)
+    x[basis.status == AT_FREE] = 0.0
+    return RevisedResult(
+        RevisedStatus.OPTIMAL, x, float(cost @ x) + sf.c0, 0, basis,
+        counters=PivotCounters(),
+        reduced_costs=cost.copy() if want_reduced_costs else None,
+    )
 
 
 def solve_with_fallback(
     sf: StandardFormLP,
     basis: Optional[Basis] = None,
     max_iterations: int = 20_000,
-    pricing_block_size: int = 0,
     want_reduced_costs: bool = False,
-    pricing: str = "devex",
 ) -> Tuple[LPResult, Optional[Basis], bool]:
-    """Solve via the revised path, falling back to the dense tableau.
+    """Solve ``sf`` to a verified answer, recovering from numerical trouble.
 
-    This is the policy branch and bound uses per node: try the
-    incremental engine (warm when ``basis`` is given); if it signals
-    NEEDS_FALLBACK, re-solve cold with :func:`repro.solvers.simplex.solve_lp`,
-    which is slower but oracle-grade.
+    This is the policy branch and bound uses per node: one
+    :func:`solve_revised` attempt (warm when ``basis`` is given); if it
+    returns NEEDS_FALLBACK, one cold restart from the logical basis with
+    a fresh factorization and Bland's rule from the first pivot.  There
+    is no second solver: if the restart fails too, the solve raises
+    rather than return an unverified answer.
 
     Returns:
-        ``(result, final_basis, fell_back)`` — ``final_basis`` is ``None``
-        whenever the dense path produced the result (it has no basis to
-        hand to children), and ``fell_back`` says which path answered.
-        ``result.reduced_costs`` is populated only when requested *and*
-        the revised path answered (the dense oracle does not expose
-        duals) — reduced-cost fixing degrades gracefully to off.
+        ``(result, final_basis, recovered)`` — ``final_basis`` warm-starts
+        the next solve (``None`` unless OPTIMAL), and ``recovered`` says
+        the cold restart produced the answer.  ``result.iterations`` and
+        ``result.counters`` cover both attempts.
+
+    Raises:
+        SolverError: Both the attempt and the restart failed.
     """
     revised = solve_revised(
         sf, basis, max_iterations=max_iterations,
-        pricing_block_size=pricing_block_size,
         want_reduced_costs=want_reduced_costs,
-        pricing=pricing,
     )
-    if revised.status is not RevisedStatus.NEEDS_FALLBACK:
-        status = {
-            RevisedStatus.OPTIMAL: LPStatus.OPTIMAL,
-            RevisedStatus.INFEASIBLE: LPStatus.INFEASIBLE,
-            RevisedStatus.UNBOUNDED: LPStatus.UNBOUNDED,
-        }[revised.status]
-        return (
-            LPResult(
-                status, revised.x, revised.objective, revised.iterations,
-                counters=revised.counters,
-                reduced_costs=revised.reduced_costs,
-            ),
-            revised.basis,
-            False,
-        )
-    n = sf.n
-    # Select rows by their logical column's box, not by position: appended
-    # cut rows put ``<=`` rows after the equality block, so the row order
-    # is no longer [ub..., eq...].
-    ub_rows = np.isinf(sf.up[n:])
-    dense = solve_lp(
-        sf.cost[:n],
-        sf.a[ub_rows, :n], sf.b[ub_rows],
-        sf.a[~ub_rows, :n], sf.b[~ub_rows],
-        sf.lo[:n], sf.up[:n], c0=sf.c0,
+    recovered = revised.status is RevisedStatus.NEEDS_FALLBACK
+    if recovered:
+        first = revised
+        # The restart accumulates into the first attempt's counters, so
+        # every pivot and factorization of the solve is reported.
+        revised = _Engine(
+            sf, sf.logical_basis(), max_iterations, first.counters,
+            want_reduced_costs=want_reduced_costs, bland=True,
+        ).run()
+        revised.iterations += first.iterations
+        if revised.status is RevisedStatus.NEEDS_FALLBACK:
+            raise SolverError(
+                f"LP engine failed twice on a {sf.m}x{sf.ncols} form "
+                f"({revised.iterations} pivots, warm={basis is not None}): "
+                "no verified answer"
+            )
+    return (
+        LPResult(
+            LPStatus(revised.status.value), revised.x, revised.objective,
+            revised.iterations, counters=revised.counters,
+            reduced_costs=revised.reduced_costs,
+        ),
+        revised.basis,
+        recovered,
     )
-    return dense, None, True
 
 
 class _Engine:
@@ -1097,10 +1113,10 @@ class _Engine:
         sf: StandardFormLP,
         basis: Basis,
         max_iterations: int,
+        counters: PivotCounters,
         warm: bool = False,
-        pricing_block_size: int = 0,
         want_reduced_costs: bool = False,
-        pricing: str = "devex",
+        bland: bool = False,
     ) -> None:
         self.sf = sf
         self.basic = basis.basic
@@ -1108,26 +1124,23 @@ class _Engine:
         self.max_iterations = max_iterations
         self.warm = warm
         self.want_reduced_costs = want_reduced_costs
+        #: Bland's rule from the first pivot (the recovery restart) rather
+        #: than only after a stall.
+        self.bland = bland
         self.iterations = 0
-        self.counters = PivotCounters()
+        self.counters = counters
         self.factor = _pick_factor(sf)
-        self.devex = pricing != "dantzig"
         # Dual devex row weights engage only on bases large enough for the
         # reference framework to mature: weights reset at every dual loop,
         # so on the few-pivot warm repairs of small bases they never move
         # far from 1 and only add noise to the (otherwise max-violation)
         # row choice.  The primal loop keeps devex at every size — cold
         # starts run long enough for the framework to pay off.
-        self.devex_rows = self.devex and sf.m > DENSE_KERNEL_MAX
+        self.devex_rows = sf.m > DENSE_KERNEL_MAX
         self.x_basic: Optional[np.ndarray] = None
         # Columns that can never move: fixed boxes (includes eq artificials).
         self.fixed = np.isfinite(sf.lo) & np.isfinite(sf.up) & (sf.up - sf.lo <= FEAS_TOL)
-        if pricing_block_size > 0:
-            width = pricing_block_size
-        elif sf.ncols <= PRICING_SINGLE_BLOCK:
-            width = sf.ncols
-        else:
-            width = PRICING_BLOCK
+        width = sf.ncols if sf.ncols <= PRICING_SINGLE_BLOCK else PRICING_BLOCK
         self._blocks = [
             (start, min(start + width, sf.ncols))
             for start in range(0, sf.ncols, width)
@@ -1173,20 +1186,20 @@ class _Engine:
 
     # -- pricing ------------------------------------------------------------
     def _price(
-        self, y: np.ndarray, phase1: bool, use_bland: bool
+        self, y: np.ndarray, use_bland: bool
     ) -> Optional[Tuple[int, float]]:
-        """Deterministic partial pricing (dantzig mode): entering column.
+        """Deterministic partial pricing of phase 1: entering column.
 
         Scans the fixed, index-ordered column blocks and returns
         ``(entering, d_entering)`` from the first block holding an
-        improving column, or ``None`` at (phase-specific) optimality.
-        Dantzig mode starts at the rotating pointer ``_pblock`` (left on
-        the last productive block) and takes the in-block argmax of
-        ``|d|`` — ``np.argmax`` resolves ties to the lowest index; Bland
-        mode always scans from block 0 and takes the globally lowest
-        improving index, preserving the anti-cycling guarantee.  With a
-        single block both modes reduce to their classic full-pricing
-        forms.
+        improving column under the phase-1 reduced costs ``-y A``, or
+        ``None`` at a phase-1 optimum.  The scan starts at the rotating
+        pointer ``_pblock`` (left on the last productive block) and takes
+        the in-block argmax of ``|d|`` — ``np.argmax`` resolves ties to the
+        lowest index; Bland mode always scans from block 0 and takes the
+        globally lowest improving index, preserving the anti-cycling
+        guarantee.  With a single block both modes reduce to their
+        classic full-pricing forms.
         """
         sf = self.sf
         nblocks = len(self._blocks)
@@ -1196,10 +1209,7 @@ class _Engine:
             order = [(self._pblock + i) % nblocks for i in range(nblocks)]
         for bi in order:
             start, stop = self._blocks[bi]
-            if phase1:
-                d = -(y @ sf.a[:, start:stop])
-            else:
-                d = sf.cost[start:stop] - y @ sf.a[:, start:stop]
+            d = -(y @ sf.a[:, start:stop])
             stat = self.status[start:stop]
             movable = ~self.fixed[start:stop] & (stat != BASIC)
             improving = movable & (
@@ -1296,14 +1306,17 @@ class _Engine:
             return status
         return self.finish()
 
-    def _bail(self) -> RevisedResult:
+    def _verdict(self, status: RevisedStatus) -> RevisedResult:
+        """A pointless result (no ``x``, no basis) carrying the counters."""
         return RevisedResult(
-            RevisedStatus.NEEDS_FALLBACK, None, math.nan, self.iterations, None,
-            counters=self.counters,
+            status, None, math.nan, self.iterations, None, counters=self.counters
         )
 
+    def _bail(self) -> RevisedResult:
+        return self._verdict(RevisedStatus.NEEDS_FALLBACK)
+
     def finish(self) -> RevisedResult:
-        """Assemble and verify the optimal point; drift means fallback."""
+        """Assemble and verify the optimal point; drift means bail out."""
         sf = self.sf
         x = self.nonbasic_point()
         x[self.basic] = self.x_basic
@@ -1343,7 +1356,7 @@ class _Engine:
         for the right-hand-side shift) and the entering column is the
         first blocking breakpoint.  Leaving-row choice is devex-weighted
         violation on bases past the dense-kernel threshold, worst
-        absolute violation on small bases and in dantzig mode.
+        absolute violation on small bases.
 
         A warm repair normally takes a handful of pivots, so the loop
         runs on a short budget: exhausting it means the start was
@@ -1391,9 +1404,7 @@ class _Engine:
             )
             idx = np.nonzero(eligible)[0]
             if idx.size == 0:
-                return RevisedResult(
-                    RevisedStatus.INFEASIBLE, None, math.nan, self.iterations, None
-                )
+                return self._verdict(RevisedStatus.INFEASIBLE)
             dir_idx = direction[idx]
             ratios = np.abs(d[idx]) / np.abs(dir_idx)
 
@@ -1417,9 +1428,7 @@ class _Engine:
             if entering == -1:
                 # Every breakpoint flipped and the slope never hit zero:
                 # the dual is unbounded, so the primal is infeasible.
-                return RevisedResult(
-                    RevisedStatus.INFEASIBLE, None, math.nan, self.iterations, None
-                )
+                return self._verdict(RevisedStatus.INFEASIBLE)
 
             w = self.entering_column(entering)
             alpha_q = float(alpha[entering])
@@ -1507,13 +1516,20 @@ class _Engine:
         Pivots are short-step — the entering variable blocks at the first
         breakpoint, which includes an infeasible basic *reaching* its
         violated bound (it leaves the basis feasible).  Returns ``None``
-        once primal feasible; a local optimum with residual infeasibility
-        yields NEEDS_FALLBACK so the dense oracle delivers the verdict.
+        once primal feasible.  A phase-1 optimum with residual
+        infeasibility is global (phase 1 is itself an LP), so it proves
+        the LP infeasible — but only once read from a fresh factorization:
+        the first time it is reached after pivoting, the basis is
+        refactorized and the basic values recomputed, and the loop looks
+        again.
         """
         sf = self.sf
         stall = 0
-        use_bland = False
+        use_bland = self.bland
         last_infeas = math.inf
+        # True while the factor and basic values are straight from a
+        # refactorization (``run`` refactorizes before any pivot).
+        fresh = self.iterations == 0
         while True:
             violations = self.primal_violations()
             below = violations < -FEAS_TOL
@@ -1530,11 +1546,16 @@ class _Engine:
             w_basic[below] = -1.0
             w_basic[above] = 1.0
             y = self.factor.btran(w_basic)
-            candidate = self._price(y, phase1=True, use_bland=use_bland)
+            candidate = self._price(y, use_bland=use_bland)
             if candidate is None:
-                # Local (hence global) phase-1 optimum with residual
-                # infeasibility; let the oracle certify infeasibility.
-                return self._bail()
+                if fresh:
+                    return self._verdict(RevisedStatus.INFEASIBLE)
+                if not self.refactor():
+                    return self._bail()
+                self.recompute_basics()
+                fresh = True
+                continue
+            fresh = False
             entering, d_entering = candidate
             if self.status[entering] == AT_UB or (
                 self.status[entering] == AT_FREE and d_entering > 0
@@ -1587,6 +1608,7 @@ class _Engine:
                     if not self.refactor():
                         return self._bail()
                     self.recompute_basics()
+                    fresh = True
                     continue
                 entering_value = (
                     (sf.up[entering] if self.status[entering] == AT_UB else
@@ -1608,6 +1630,7 @@ class _Engine:
                     if not self.refactor():
                         return self._bail()
                     self.recompute_basics()
+                    fresh = True
 
             if infeas < last_infeas - FEAS_TOL:
                 stall = 0
@@ -1621,46 +1644,35 @@ class _Engine:
     def primal_loop(self) -> Optional[RevisedResult]:
         """Pivot from a primal-feasible basis until no column improves.
 
-        Devex mode (the default) maintains the full reduced-cost vector
-        across pivots — pricing is a vectorized argmax of ``d^2/weight``
-        with no per-iteration BTRAN — and updates the reference-framework
-        weights from the pivot row it computes for the reduced-cost AXPY.
-        Dantzig mode reprices blocks from scratch each iteration exactly
-        as the legacy engine did.  Both switch to Bland's rule after a
-        stall (the classic anti-cycling safeguard).  Returns a final
-        result only on unboundedness or trouble; ``None`` means "optimal,
-        go finish".
+        The full reduced-cost vector is maintained across pivots —
+        pricing is a vectorized argmax of devex ``d^2/weight`` with no
+        per-iteration BTRAN — and the reference-framework weights are
+        updated from the pivot row computed for the reduced-cost AXPY.
+        Switches to Bland's rule after a stall (the classic anti-cycling
+        safeguard).  Returns a final result only on unboundedness or
+        trouble; ``None`` means "optimal, go finish".
         """
         sf = self.sf
         stall = 0
-        use_bland = False
+        use_bland = self.bland
         last_objective = math.inf
-        d: Optional[np.ndarray] = None
         weights = self._col_weights
-        if self.devex:
-            d = self.reduced_costs()
-            self.reset_col_weights()
+        d = self.reduced_costs()
+        self.reset_col_weights()
         while True:
             if self.iterations >= self.max_iterations:
                 return self._bail()
-            if self.devex:
-                improving = np.nonzero(self._improving_mask(d))[0]
-                if improving.size == 0:
-                    return None
-                if use_bland:
-                    entering = int(improving[0])
-                else:
-                    d_imp = d[improving]
-                    entering = int(improving[int(np.argmax(
-                        d_imp * d_imp / weights[improving]
-                    ))])
-                d_entering = float(d[entering])
+            improving = np.nonzero(self._improving_mask(d))[0]
+            if improving.size == 0:
+                return None
+            if use_bland:
+                entering = int(improving[0])
             else:
-                y = self.factor.btran(sf.cost[self.basic])
-                candidate = self._price(y, phase1=False, use_bland=use_bland)
-                if candidate is None:
-                    return None
-                entering, d_entering = candidate
+                d_imp = d[improving]
+                entering = int(improving[int(np.argmax(
+                    d_imp * d_imp / weights[improving]
+                ))])
+            d_entering = float(d[entering])
             # Direction of travel: increase from lb (or free with d<0),
             # decrease from ub (or free with d>0).
             if self.status[entering] == AT_UB or (
@@ -1685,9 +1697,7 @@ class _Engine:
             limit = float(np.min(steps)) if sf.m else math.inf
             step = min(limit, span)
             if not math.isfinite(step):
-                return RevisedResult(
-                    RevisedStatus.UNBOUNDED, None, math.nan, self.iterations, None
-                )
+                return self._verdict(RevisedStatus.UNBOUNDED)
             step = max(step, 0.0)
 
             if span <= limit:
@@ -1708,35 +1718,33 @@ class _Engine:
                     if not self.refactor():
                         return self._bail()
                     self.recompute_basics()
-                    if self.devex:
-                        d = self.reduced_costs()
+                    d = self.reduced_costs()
                     continue
                 entering_value = (
                     (sf.up[entering] if self.status[entering] == AT_UB else
                      0.0 if self.status[entering] == AT_FREE else sf.lo[entering])
                     + sign * step
                 )
-                if self.devex:
-                    # One unit BTRAN + sparsity-aware product per pivot
-                    # keeps d current and feeds the weight update.
-                    alpha_r = _row_times_matrix(self.factor.btran_unit(row), sf.a)
-                    alpha_rq = float(alpha_r[entering])
-                    if abs(alpha_rq - w[row]) > DRIFT_TOL * (1.0 + abs(w[row])):
-                        if not self.refactor():
-                            return self._bail()
-                        self.recompute_basics()
-                        d = self.reduced_costs()
-                        continue
-                    theta = float(d[entering]) / alpha_rq
-                    if theta != 0.0:
-                        d -= theta * alpha_r
-                    d[entering] = 0.0
-                    gamma_q = float(weights[entering])
-                    ratio2 = (alpha_r / alpha_rq) ** 2
-                    np.maximum(weights, ratio2 * gamma_q, out=weights)
-                    weights[leaving] = max(gamma_q / (alpha_rq * alpha_rq), 1.0)
-                    if float(weights.max()) > DEVEX_RESET_LIMIT:
-                        self.reset_col_weights()
+                # One unit BTRAN + sparsity-aware product per pivot keeps
+                # d current and feeds the weight update.
+                alpha_r = _row_times_matrix(self.factor.btran_unit(row), sf.a)
+                alpha_rq = float(alpha_r[entering])
+                if abs(alpha_rq - w[row]) > DRIFT_TOL * (1.0 + abs(w[row])):
+                    if not self.refactor():
+                        return self._bail()
+                    self.recompute_basics()
+                    d = self.reduced_costs()
+                    continue
+                theta = float(d[entering]) / alpha_rq
+                if theta != 0.0:
+                    d -= theta * alpha_r
+                d[entering] = 0.0
+                gamma_q = float(weights[entering])
+                ratio2 = (alpha_r / alpha_rq) ** 2
+                np.maximum(weights, ratio2 * gamma_q, out=weights)
+                weights[leaving] = max(gamma_q / (alpha_rq * alpha_rq), 1.0)
+                if float(weights.max()) > DEVEX_RESET_LIMIT:
+                    self.reset_col_weights()
                 self.x_basic = self.x_basic - delta * step
                 self.x_basic[row] = entering_value
                 self.status[entering] = BASIC
@@ -1750,8 +1758,7 @@ class _Engine:
                     if not self.refactor():
                         return self._bail()
                     self.recompute_basics()
-                    if self.devex:
-                        d = self.reduced_costs()
+                    d = self.reduced_costs()
 
             objective = float(sf.cost[self.basic] @ self.x_basic)
             if objective < last_objective - DUAL_TOL:

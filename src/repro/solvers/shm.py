@@ -36,7 +36,9 @@ from typing import Any, Dict, Optional, Tuple
 import numpy as np
 
 from repro.milp.model import MatrixForm
-from repro.solvers.revised import HAVE_SPARSE, StandardFormLP
+from scipy.sparse import csc_matrix
+
+from repro.solvers.revised import StandardFormLP
 
 #: Byte alignment for every packed array (generous for any dtype here).
 _ALIGN = 64
@@ -96,11 +98,10 @@ class FormPublication:
             arrays["sf_lo"] = np.ascontiguousarray(sf.lo, dtype=float)
             arrays["sf_up"] = np.ascontiguousarray(sf.up, dtype=float)
             arrays["sf_cost"] = np.ascontiguousarray(sf.cost, dtype=float)
-            if HAVE_SPARSE:
-                csc = sf.a_csc()
-                arrays["csc_data"] = np.ascontiguousarray(csc.data)
-                arrays["csc_indices"] = np.ascontiguousarray(csc.indices)
-                arrays["csc_indptr"] = np.ascontiguousarray(csc.indptr)
+            csc = sf.a_csc()
+            arrays["csc_data"] = np.ascontiguousarray(csc.data)
+            arrays["csc_indices"] = np.ascontiguousarray(csc.indices)
+            arrays["csc_indptr"] = np.ascontiguousarray(csc.indptr)
 
         layout: Dict[str, Tuple[int, Tuple[int, ...], str]] = {}
         offset = 0
@@ -201,14 +202,10 @@ class AttachedForm:
         )
         self.sf: Optional[StandardFormLP] = None
         if spec["has_sf"]:
-            a_csc = None
-            if "csc_data" in layout and HAVE_SPARSE:
-                from scipy.sparse import csc_matrix
-
-                a_csc = csc_matrix(
-                    (view("csc_data"), view("csc_indices"), view("csc_indptr")),
-                    shape=(spec["sf_m"], spec["sf_n"] + spec["sf_m"]),
-                )
+            a_csc = csc_matrix(
+                (view("csc_data"), view("csc_indices"), view("csc_indptr")),
+                shape=(spec["sf_m"], spec["sf_n"] + spec["sf_m"]),
+            )
             self.sf = StandardFormLP.from_arrays(
                 a=view("sf_a"),
                 b=view("sf_b").copy(),

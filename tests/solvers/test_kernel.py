@@ -1,11 +1,11 @@
-"""Property tests for the PR-10 kernel work: pricing, flips, micro kernel.
+"""Property tests for the simplex hot path: flips, degeneracy, micro kernel.
 
-Four claims the rebuilt hot path makes, each checked against the dense
-tableau oracle or against the solver's own alternative code path:
+Four claims the hot path makes, each checked against the dense tableau
+oracle or against the solver's own alternative code path:
 
-* **Pricing is a speed knob, not a semantics knob** — devex and dantzig
-  must land on the same optimal objective on every LP and MILP, paper
-  examples included.
+* **Degenerate ties cannot cycle** — under devex pricing the stall
+  detector hands over to Bland's rule, and the recovery restart runs
+  Bland's rule from its first pivot; both must finish.
 * **The bound-flipping ratio test is exact** — long dual steps through
   boxed columns must reproduce the oracle objective while actually
   flipping (the counter proves the path is exercised).
@@ -32,12 +32,14 @@ from repro.solvers.bozo import BozoSolver
 from repro.solvers.revised import (
     AT_FREE,
     Basis,
+    PivotCounters,
     RevisedStatus,
     StandardFormLP,
+    _Engine,
     _solve_micro,
     solve_revised,
 )
-from repro.solvers.simplex import solve_lp
+from tests.solvers.simplex import solve_lp
 from tests.solvers.test_parallel import market_split
 from tests.solvers.test_revised import (
     OBJECTIVE_TOL,
@@ -58,77 +60,6 @@ def branch_chain(rng, sf, lb, ub, steps=6):
             cur_lb = cur_lb.copy()
             cur_lb[j] = min(cur_ub[j], np.ceil(cur_lb[j] + rng.random()))
         yield cur_lb, cur_ub
-
-
-class TestPricingEquivalence:
-    def test_devex_matches_dantzig_on_random_lps(self):
-        """Both pricing rules find the same optimum on ~40 cold LPs."""
-        rng = np.random.default_rng(31)
-        agreed = 0
-        for _ in range(40):
-            c, a_ub, b_ub, a_eq, b_eq, lb, ub = random_sos_like_lp(rng)
-            devex = solve_revised(
-                StandardFormLP(c, a_ub, b_ub, a_eq, b_eq, lb, ub),
-                pricing="devex",
-            )
-            dantzig = solve_revised(
-                StandardFormLP(c, a_ub, b_ub, a_eq, b_eq, lb, ub),
-                pricing="dantzig",
-            )
-            if RevisedStatus.NEEDS_FALLBACK in (devex.status, dantzig.status):
-                continue
-            assert devex.status == dantzig.status
-            if devex.status is RevisedStatus.OPTIMAL:
-                scale = 1.0 + abs(dantzig.objective)
-                assert abs(devex.objective - dantzig.objective) <= (
-                    OBJECTIVE_TOL * scale
-                )
-                agreed += 1
-        assert agreed >= 30
-
-    def test_devex_matches_dantzig_on_warm_chains(self):
-        """Pricing must not change warm-start answers along branch chains."""
-        rng = np.random.default_rng(32)
-        chains = 0
-        for _ in range(10):
-            c, a_ub, b_ub, a_eq, b_eq, lb, ub = random_sos_like_lp(rng)
-            sf_d = StandardFormLP(c, a_ub, b_ub, a_eq, b_eq, lb, ub)
-            sf_z = StandardFormLP(c, a_ub, b_ub, a_eq, b_eq, lb, ub)
-            root_d = solve_revised(sf_d, pricing="devex")
-            root_z = solve_revised(sf_z, pricing="dantzig")
-            if RevisedStatus.OPTIMAL not in (root_d.status,):
-                continue
-            if root_z.status is not RevisedStatus.OPTIMAL:
-                continue
-            chains += 1
-            basis_d, basis_z = root_d.basis, root_z.basis
-            for cur_lb, cur_ub in branch_chain(rng, sf_d, lb, ub):
-                sf_d.set_bounds(cur_lb, cur_ub)
-                sf_z.set_bounds(cur_lb, cur_ub)
-                warm_d = solve_revised(sf_d, basis_d, pricing="devex")
-                warm_z = solve_revised(sf_z, basis_z, pricing="dantzig")
-                fallback = RevisedStatus.NEEDS_FALLBACK
-                if fallback in (warm_d.status, warm_z.status):
-                    continue
-                assert warm_d.status == warm_z.status
-                if warm_d.status is RevisedStatus.OPTIMAL:
-                    scale = 1.0 + abs(warm_z.objective)
-                    assert abs(warm_d.objective - warm_z.objective) <= (
-                        OBJECTIVE_TOL * scale
-                    )
-                    basis_d, basis_z = warm_d.basis, warm_z.basis
-        assert chains >= 6
-
-    def test_devex_matches_dantzig_end_to_end(self):
-        """Full MILP solves agree: same optimum under either pricing."""
-        model = market_split(3, 10, 0)
-        objectives = {}
-        for pricing in ("devex", "dantzig"):
-            solution = BozoSolver(
-                SolverOptions(pricing=pricing, branching="most_fractional")
-            ).solve(model)
-            objectives[pricing] = solution.objective
-        assert objectives["devex"] == pytest.approx(objectives["dantzig"])
 
 
 class TestBoundFlips:
@@ -201,19 +132,22 @@ class TestBoundFlips:
 
 class TestDegeneracy:
     def test_degenerate_ties_solve_under_both_pricings(self):
-        """Massively degenerate LP (duplicate rows, tied costs): the stall
-        detector must hand over to Bland's rule rather than cycle."""
+        """Massively degenerate LP (duplicate rows, tied costs): devex must
+        hand over to Bland's rule rather than cycle, and the recovery
+        restart's Bland-from-the-first-pivot run must finish too."""
         n = 6
         c = np.ones(n)
         row = np.ones((1, n))
         a_ub = np.vstack([row, row, row, 2 * row])  # duplicates + scaling
         b_ub = np.array([3.0, 3.0, 3.0, 6.0])
-        for pricing in ("devex", "dantzig"):
+        for bland in (False, True):
             sf = StandardFormLP(
                 c, a_ub, b_ub, np.zeros((0, n)), np.zeros(0),
                 np.zeros(n), np.ones(n),
             )
-            result = solve_revised(sf, pricing=pricing)
+            result = _Engine(
+                sf, sf.logical_basis(), 20_000, PivotCounters(), bland=bland
+            ).run()
             assert result.status is RevisedStatus.OPTIMAL
             assert result.objective == pytest.approx(0.0)
 
@@ -240,7 +174,7 @@ class TestMicroKernel:
             c, a_ub, b_ub, a_eq, b_eq = data
             for cur_lb, cur_ub in branch_chain(rng, sf, lb, ub):
                 sf.set_bounds(cur_lb, cur_ub)
-                micro = _solve_micro(sf, basis, 20_000)
+                micro = _solve_micro(sf, basis, 20_000, PivotCounters())
                 general = solve_revised(sf, basis, want_reduced_costs=True)
                 if micro is None:
                     continue
@@ -268,7 +202,7 @@ class TestMicroKernel:
         )
         basis = sf.logical_basis()
         assert AT_FREE in basis.status.tolist()
-        assert _solve_micro(sf, basis, 20_000) is None
+        assert _solve_micro(sf, basis, 20_000, PivotCounters()) is None
 
     def test_micro_never_mutates_inputs(self):
         """The input form and basis must survive a micro solve untouched
@@ -284,7 +218,7 @@ class TestMicroKernel:
         lo, up = sf.lo.copy(), sf.up.copy()
         sf.set_bounds(np.zeros(2), np.array([1.0, 0.0]))
         lo2, up2 = sf.lo.copy(), sf.up.copy()
-        result = _solve_micro(sf, root.basis, 20_000)
+        result = _solve_micro(sf, root.basis, 20_000, PivotCounters())
         assert result is not None
         assert np.array_equal(root.basis.basic, snapshot.basic)
         assert np.array_equal(root.basis.status, snapshot.status)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
-from repro.solvers.simplex import LPStatus, solve_lp
+from tests.solvers.simplex import LPStatus, solve_lp
 
 
 def lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, lb=None, ub=None, **kw):
